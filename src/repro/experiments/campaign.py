@@ -77,7 +77,7 @@ from repro.errors import (
     taxonomy_name,
 )
 from repro.isa.instruction import MicroOp
-from repro.pipeline.engine import Engine
+from repro.pipeline.engine import Engine, preload_backend
 from repro.pipeline.results import TELEMETRY_SCHEMA_VERSION, SimResult
 from repro.pipeline.vp_interface import ValuePredictor
 from repro.testing.faults import FAULTS_ENV
@@ -904,9 +904,6 @@ class CampaignEngine:
         leaves the ledger on ``self.ledger`` / ``self.failures``.
     """
 
-    #: Watchdog poll period (seconds) while pool jobs are in flight.
-    POLL_INTERVAL = 0.02
-
     def __init__(self, jobs: Optional[int] = None,
                  cache: Optional[ResultCache] = None,
                  progress: Optional[Callable[[JobEvent], None]] = None,
@@ -1131,9 +1128,19 @@ class CampaignEngine:
         collects results, kills processes that blow their deadline
         (``JobTimeout``), classifies silent deaths (``WorkerCrash``),
         and requeues retryable failures with exponential backoff.
+        Between sweeps it blocks until a result pipe or a process
+        sentinel is ready, or until the nearest deadline or backoff
+        expiry.  Before the first fork the parent imports what each
+        job's engine backend would import lazily, so every worker
+        inherits it (docs/PERF.md).
         Raises :class:`_PoolUnavailable` if a worker process cannot be
         started at all.
         """
+        # Imported here so `repro serve` starts without it.
+        from multiprocessing import connection
+
+        for backend in {job.backend for job in jobs}:
+            preload_backend(backend)
         ctx = multiprocessing.get_context()
         workers = min(self.jobs, len(jobs))
         #: (job, attempt, not_before) — ready once monotonic() >= not_before.
@@ -1235,8 +1242,20 @@ class CampaignEngine:
                                f"exceeded the {self.timeout:g}s per-job "
                                f"timeout and was killed",
                                time.perf_counter() - started)
-                if not progressed and (running or queue):
-                    self._sleep(self.POLL_INTERVAL)
+                if progressed:
+                    continue
+                # Block until a result or an exit lands, or until the
+                # nearest deadline or (with a free slot) retry is due.
+                wakeups = [entry[3] for entry in running.values()
+                           if entry[3] is not None]
+                if len(running) < workers:
+                    wakeups += [not_before for _, _, not_before in queue]
+                timeout = None if not wakeups else \
+                    max(0.0, min(wakeups) - time.monotonic())
+                connection.wait([handle for proc, conn, *_
+                                 in running.values()
+                                 for handle in (conn, proc.sentinel)],
+                                timeout)
         finally:
             for proc, conn, *_ in running.values():
                 if proc.is_alive():

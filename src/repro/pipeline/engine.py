@@ -149,6 +149,50 @@ def _backend_requested() -> Optional[str]:
     return text
 
 
+def resolve_backend(backend: Optional[str] = None) -> str:
+    """Which timing loop an engine pinned to ``backend`` runs
+    (docs/VECTOR.md).
+
+    Precedence: the explicit ``backend=`` engine argument, then the
+    legacy ``REPRO_SLOW_PATH=1`` reference-loop switch, then the
+    registered ``REPRO_ENGINE_BACKEND`` environment variable, then the
+    default — ``vector`` when numpy is importable, ``scalar``
+    otherwise.  An explicit ``vector`` request without numpy is a
+    :class:`ConfigError` rather than a silent downgrade."""
+    if backend is None:
+        if _slow_path_requested():
+            return "reference"
+        backend = _backend_requested()
+    if backend is None:
+        return "vector" if _HAVE_NUMPY else "scalar"
+    if backend == "vector" and not _HAVE_NUMPY:
+        raise ConfigError(
+            "the vector engine backend requires numpy, which is not "
+            "importable here; select backend='scalar' instead")
+    return backend
+
+
+def preload_backend(backend: Optional[str] = None) -> None:
+    """Import now what an engine pinned to ``backend`` would import
+    lazily on its first run.
+
+    The campaign pool calls this in the parent before forking workers
+    (docs/PERF.md), so each forked job inherits the modules instead of
+    importing them again: ``vector`` loads
+    :mod:`repro.pipeline.engine_vector` and :mod:`repro.trace.soa`
+    (and with it numpy); ``scalar`` and ``reference`` load nothing.
+    A request that cannot resolve (``vector`` without numpy, a bad
+    ``REPRO_ENGINE_BACKEND``) loads nothing either: the job itself
+    reports the :class:`ConfigError`."""
+    try:
+        resolved = resolve_backend(backend)
+    except ConfigError:
+        return
+    if resolved == "vector":
+        import repro.pipeline.engine_vector  # noqa: F401
+        import repro.trace.soa  # noqa: F401
+
+
 def _invariants_requested() -> bool:
     """True when ``REPRO_CHECK_INVARIANTS`` arms the post-run audit."""
     return os.environ.get("REPRO_CHECK_INVARIANTS", "") not in ("", "0")
@@ -407,27 +451,8 @@ class Engine:
 
     # ------------------------------------------------------------------
     def _resolve_backend(self) -> str:
-        """Which timing loop this run uses (docs/VECTOR.md).
-
-        Precedence: the explicit ``backend=`` constructor argument,
-        then the legacy ``REPRO_SLOW_PATH=1`` reference-loop switch,
-        then the registered ``REPRO_ENGINE_BACKEND`` environment
-        variable, then the default — ``vector`` when numpy is
-        importable, ``scalar`` otherwise.  An explicit ``vector``
-        request without numpy is a :class:`ConfigError` rather than a
-        silent downgrade."""
-        backend = self.backend
-        if backend is None:
-            if _slow_path_requested():
-                return "reference"
-            backend = _backend_requested()
-        if backend is None:
-            return "vector" if _HAVE_NUMPY else "scalar"
-        if backend == "vector" and not _HAVE_NUMPY:
-            raise ConfigError(
-                "the vector engine backend requires numpy, which is not "
-                "importable here; select backend='scalar' instead")
-        return backend
+        """Which timing loop this run uses (:func:`resolve_backend`)."""
+        return resolve_backend(self.backend)
 
     def _time_trace_vector(self, trace: TraceSource, warmup: int,
                            result: SimResult, gap_hist) -> None:

@@ -70,6 +70,17 @@ _LOAD = opcodes.LOAD
 _STORE = opcodes.STORE
 
 
+def _any_in(values: "np.ndarray", pool: "np.ndarray") -> bool:
+    """True when any element of ``values`` occurs in the non-empty
+    ``pool``.  A sorted-pool binary search rather than ``np.isin``,
+    whose first call imports ``numpy.ma`` (through ``np.unique``):
+    that import would land in every forked campaign worker."""
+    pool = np.sort(pool)
+    slots = np.searchsorted(pool, values)
+    np.minimum(slots, len(pool) - 1, out=slots)
+    return bool((pool[slots] == values).any())
+
+
 class SoaWindow:
     """One bounded trace window in structure-of-arrays form.
 
@@ -246,12 +257,12 @@ class SoaWindow:
         load8 = addr_array[load_mask] >> 3
         store_mask = op_array == _STORE
         if store_mask.any() \
-                and bool(np.isin(load8, addr_array[store_mask] >> 3).any()):
+                and _any_in(load8, addr_array[store_mask] >> 3):
             return True
         if carry_addr8:
             carry = np.fromiter(carry_addr8, dtype=np.int64,
                                 count=len(carry_addr8)) >> 3
-            return bool(np.isin(load8, carry).any())
+            return _any_in(load8, carry)
         return False
 
 

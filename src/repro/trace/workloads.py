@@ -382,7 +382,15 @@ def reseeded(profile: WorkloadProfile, seed: int) -> WorkloadProfile:
     The kernel mix (specs, weights, parameters) is untouched — only
     the interleaving RNG and the memory-image salt change, so the
     reseeded profile is the same *program* over different data.  This
-    backs the ``--seed`` CLI flag for run-to-run variation studies."""
+    backs the ``--seed`` CLI flag for run-to-run variation studies.
+
+    Known defect: the trace depends on the kernel recipe and the seed
+    only, not on the workload name, so workloads that share a recipe
+    get byte-identical traces under any seed.  60 workloads give 51
+    distinct traces; the shared groups are gcc = mcf = mcf17 = gcc-2 =
+    mcf-2, namd = sphinx3 = gobmk = cassandra, libquantum = lbm17 and
+    lammps = hplinpack.  Folding the name into the seed would fix it
+    but changes every seeded trace (and every seeded cached result)."""
     return WorkloadProfile(name=profile.name, category=profile.category,
                            seed=seed, specs=profile.specs,
                            description=profile.description)

@@ -1,13 +1,18 @@
 """Tests for the campaign engine: jobs, the persistent result cache,
 parallel fan-out, and the redesigned Runner/SuiteResult surface."""
 
+import json
 import os
 import pickle
+import subprocess
+import sys
+import time
 
 import pytest
 
 import repro
 from repro.analysis.metrics import SuiteResult
+from repro.experiments import campaign
 from repro.experiments.campaign import (
     CampaignEngine,
     Job,
@@ -25,6 +30,9 @@ from repro.experiments.runner import (
 LENGTH = 3000
 WARMUP = 800
 WORKLOADS = ["astar", "hadoop", "milc"]
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 def make_runner(tmp_path, **kwargs):
@@ -259,6 +267,130 @@ class TestParallelExecution:
         clone = pickle.loads(pickle.dumps(result))
         assert clone == result
         assert clone.ipc == result.ipc
+
+
+# ----------------------------------------------------------------------
+# Warm pool parent: a forked job imports nothing the parent lacks.
+# ----------------------------------------------------------------------
+#: Run in a fresh interpreter, so modules other tests imported cannot
+#: hide a missing preload.  Prints the ``repro``/``numpy`` modules a
+#: forked child imported while running one job per spec.
+FORK_IMPORTS_SCRIPT = """
+import json, os, sys
+from repro.experiments.campaign import Job, execute_job
+from repro.pipeline.engine import preload_backend
+
+preload_backend(None)
+before = set(sys.modules)
+read_fd, write_fd = os.pipe()
+pid = os.fork()
+if pid == 0:
+    status = 1
+    try:
+        os.close(read_fd)
+        for spec in (None, "fvp", "composite-8kb"):
+            execute_job(Job("astar", "skylake", spec, 1000, 200))
+        new = sorted(name for name in set(sys.modules) - before
+                     if name.split(".")[0] in ("repro", "numpy"))
+        os.write(write_fd, json.dumps(new).encode())
+        status = 0
+    finally:
+        os._exit(status)
+os.close(write_fd)
+with os.fdopen(read_fd, "rb") as pipe:
+    report = pipe.read()
+_, status = os.waitpid(pid, 0)
+assert status == 0, status
+print(report.decode())
+"""
+
+#: A two-job scalar pool campaign; prints whether numpy got imported.
+SCALAR_POOL_SCRIPT = """
+import json, sys
+from repro.experiments.campaign import CampaignEngine, Job
+
+jobs = [Job(w, "skylake", None, 1000, 200, backend="scalar")
+        for w in ("astar", "milc")]
+results = CampaignEngine(jobs=2).run_jobs(jobs)
+assert set(results) == set(jobs)
+print(json.dumps("numpy" in sys.modules))
+"""
+
+
+def run_fresh(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestWarmPoolParent:
+    def test_forked_jobs_import_nothing_after_preload(self):
+        assert run_fresh(FORK_IMPORTS_SCRIPT) == []
+
+    def test_scalar_pool_never_imports_numpy(self):
+        assert run_fresh(SCALAR_POOL_SCRIPT) is False
+
+    def test_unresolvable_backend_fails_jobs_not_campaign(self,
+                                                          monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "turbo")
+        jobs = [Job(w, "skylake", None, 1000, 200) for w in WORKLOADS]
+        ledger = CampaignEngine(jobs=2, strict=False).run_campaign(jobs)
+        assert {f.error for f in ledger.failures.values()} == {"ConfigError"}
+        assert len(ledger.failures) == len(jobs)
+
+
+# ----------------------------------------------------------------------
+# Watchdog dispatch: woken by results, not a sleep loop.
+# ----------------------------------------------------------------------
+class TestPoolDispatch:
+    JOBS = [Job(w, "skylake", "lvp", LENGTH, WARMUP)
+            for w in WORKLOADS + ["bwaves"]]
+
+    def test_clean_campaign_never_sleeps(self):
+        engine = CampaignEngine(jobs=2)
+        sleeps = []
+        engine._sleep = sleeps.append
+        results = engine.run_jobs(self.JOBS)
+        assert set(results) == set(self.JOBS)
+        assert engine.stats.fallbacks == 0
+        assert sleeps == []
+
+    def test_retry_launches_after_its_backoff(self, tmp_path, monkeypatch):
+        from repro.testing import faults
+
+        launches = tmp_path / "launches"
+        pool_worker = campaign._pool_worker
+
+        def recording_worker(payload, attempt, conn):
+            with open(launches, "a", encoding="utf-8") as out:
+                out.write(f"{payload[0]} {attempt} {time.monotonic()!r}\n")
+            pool_worker(payload, attempt, conn)
+
+        monkeypatch.setattr(campaign, "_pool_worker", recording_worker)
+        retried = {}
+
+        def progress(event):
+            if event.status == "retry":
+                retried[event.job.workload] = time.monotonic()
+
+        backoff = 0.3
+        engine = CampaignEngine(jobs=2, backoff=backoff, progress=progress)
+        sleeps = []
+        engine._sleep = sleeps.append
+        plan = [faults.FaultSpec("raise", match="astar", times=1)]
+        with faults.installed(plan):
+            results = engine.run_jobs(self.JOBS)
+        assert set(results) == set(self.JOBS)
+        assert engine.stats.retries == 1
+        assert sleeps == []
+        started = {}
+        for line in launches.read_text(encoding="utf-8").splitlines():
+            workload, attempt, at = line.split()
+            started[workload, int(attempt)] = float(at)
+        assert started["astar", 2] >= retried["astar"] + backoff
 
 
 # ----------------------------------------------------------------------

@@ -226,3 +226,24 @@ class TestSoaWindow:
         loadless = SoaWindow.from_microops(
             [MicroOp(0x1000, opcodes.ALU, dest=1)])
         assert loadless.aliases_stores([0x3000]) is False
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_aliases_stores_matches_set_intersection(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        ops, loads, stores = [], set(), set()
+        for i in range(rng.randrange(1, 40)):
+            addr = 8 * rng.randrange(64) + rng.randrange(8)
+            if rng.random() < 0.5:
+                ops.append(MicroOp(0x1000 + 4 * i, opcodes.LOAD, dest=1,
+                                   srcs=(2,), addr=addr))
+                loads.add(addr >> 3)
+            else:
+                ops.append(MicroOp(0x1000 + 4 * i, opcodes.STORE,
+                                   srcs=(1, 2), addr=addr))
+                stores.add(addr >> 3)
+        carry = [8 * rng.randrange(64) for _ in range(rng.randrange(4))]
+        window = SoaWindow.from_microops(ops)
+        expected = bool(loads & (stores | {a >> 3 for a in carry}))
+        assert window.aliases_stores(carry) is expected
